@@ -263,8 +263,7 @@ pub fn run_ppa(coo: &CooTensor, mode: usize, rank: usize, reps: usize) -> Vec<Pp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tenblock_core::kernel::MttkrpKernel;
-    use tenblock_core::mttkrp::SplattKernel;
+    use tenblock_core::{build_kernel, KernelConfig, KernelKind};
     use tenblock_tensor::gen::uniform_tensor;
 
     #[test]
@@ -279,7 +278,7 @@ mod tests {
         let mut accum = vec![0.0; rank];
         run_variant(PpaVariant::Unchanged, &t, &b, &c, &mut out, &mut accum);
 
-        let kernel = SplattKernel::new(&x, 0);
+        let kernel = build_kernel(KernelKind::Splatt, &x, 0, &KernelConfig::default());
         let mut expect = DenseMatrix::zeros(20, rank);
         kernel.mttkrp(&[&a, &b, &c], &mut expect);
         assert!(expect.approx_eq(&out, 1e-12));

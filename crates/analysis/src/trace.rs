@@ -187,51 +187,32 @@ pub fn trace_kernel(
     let c_base = alloc.region(dims[perm[2]] * rank * 8);
     let a_base = alloc.region(dims[perm[0]] * rank * 8);
 
-    match kernel {
-        TraceKernel::Splatt => {
-            let t = SplattTensor::for_mode(coo, mode);
-            let ad = alloc_block(&mut alloc, &t);
-            walk_plain(&mut sim, &t, &ad, b_base, c_base, a_base, rank);
-        }
-        TraceKernel::Mb(grid) => {
-            let g = BlockGrid::new(coo, mode, grid);
-            // blocks stored contiguously, in traversal order
-            for a in 0..grid[0] {
-                let addrs: Vec<(BlockAddrs, &SplattTensor)> = g
-                    .row_blocks(a)
-                    .map(|t| (alloc_block(&mut alloc, t), t))
-                    .collect();
-                for (ad, t) in addrs {
-                    walk_plain(&mut sim, t, &ad, b_base, c_base, a_base, rank);
-                }
+    // The kernels are presets of one blocked engine (SPLATT = MB at 1×1×1,
+    // RankB = MB+RankB at 1×1×1), so one replay of its plan covers them.
+    let (grid, strip) = match kernel {
+        TraceKernel::Splatt => ([1, 1, 1], None),
+        TraceKernel::Mb(grid) => (grid, None),
+        TraceKernel::RankB(width) => ([1, 1, 1], Some(width)),
+        TraceKernel::MbRankB(grid, width) => (grid, Some(width)),
+    };
+    let g = BlockGrid::new(coo, mode, grid);
+    // blocks stored contiguously, in traversal order
+    let blocks: Vec<(BlockAddrs, &SplattTensor)> = (0..grid[0])
+        .flat_map(|a| g.row_blocks(a))
+        .map(|t| (alloc_block(&mut alloc, t), t))
+        .collect();
+    match strip {
+        None => {
+            for (ad, t) in &blocks {
+                walk_plain(&mut sim, t, ad, b_base, c_base, a_base, rank);
             }
         }
-        TraceKernel::RankB(width) => {
-            let t = SplattTensor::for_mode(coo, mode);
-            let ad = alloc_block(&mut alloc, &t);
+        Some(width) => {
             let mut col0 = 0;
             while col0 < rank {
                 let w = width.min(rank - col0);
-                walk_rankb(&mut sim, &t, &ad, b_base, c_base, a_base, rank, col0, w);
-                col0 += w;
-            }
-        }
-        TraceKernel::MbRankB(grid, width) => {
-            let g = BlockGrid::new(coo, mode, grid);
-            let rows: Vec<Vec<(BlockAddrs, &SplattTensor)>> = (0..grid[0])
-                .map(|a| {
-                    g.row_blocks(a)
-                        .map(|t| (alloc_block(&mut alloc, t), t))
-                        .collect()
-                })
-                .collect();
-            let mut col0 = 0;
-            while col0 < rank {
-                let w = width.min(rank - col0);
-                for row in &rows {
-                    for (ad, t) in row {
-                        walk_rankb(&mut sim, t, ad, b_base, c_base, a_base, rank, col0, w);
-                    }
+                for (ad, t) in &blocks {
+                    walk_rankb(&mut sim, t, ad, b_base, c_base, a_base, rank, col0, w);
                 }
                 col0 += w;
             }

@@ -5,10 +5,10 @@
 //! Run: `cargo run -p tenblock-bench --release --bin fig4_rankb [--scale f] [--rank r] [--reps n]`
 
 use tenblock_bench::{
-    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, scaled_dataset, time_kernel,
+    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, mode0_kernel, scaled_dataset,
+    time_kernel,
 };
-use tenblock_core::block::RankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::{ExecPolicy, KernelKind};
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::DenseMatrix;
 
@@ -33,8 +33,8 @@ fn main() {
         let mut out = DenseMatrix::zeros(x.dims()[0], rank);
         let fibers = x.count_fibers(tenblock_tensor::coo::MODE1_PERM);
 
-        let baseline = SplattKernel::new(&x, 0);
-        let base_secs = time_kernel(&baseline, &factors, &mut out, reps);
+        let baseline = mode0_kernel(KernelKind::Splatt, &x, [1, 1, 1], 0, ExecPolicy::serial());
+        let base_secs = time_kernel(&*baseline, &factors, &mut out, reps);
         println!(
             "{:<10} {:>8} {:>11} {:>11.4} {:>10.2} {:>8.2}x  (SPLATT baseline)",
             name,
@@ -49,8 +49,14 @@ fn main() {
         let mut nblocks = 1;
         while rank / nblocks >= 16 {
             let width = rank / nblocks;
-            let k = RankBKernel::new(&x, 0, width);
-            let secs = time_kernel(&k, &factors, &mut out, reps);
+            let k = mode0_kernel(
+                KernelKind::RankB,
+                &x,
+                [1, 1, 1],
+                width,
+                ExecPolicy::serial(),
+            );
+            let secs = time_kernel(&*k, &factors, &mut out, reps);
             println!(
                 "{:<10} {:>8} {:>11} {:>11.4} {:>10.2} {:>8.2}x",
                 name,

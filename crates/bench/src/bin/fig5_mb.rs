@@ -6,10 +6,10 @@
 //! Run: `cargo run -p tenblock-bench --release --bin fig5_mb [--scale f] [--rank r] [--reps n]`
 
 use tenblock_bench::{
-    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, scaled_dataset, time_kernel,
+    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, gflops, mode0_kernel, scaled_dataset,
+    time_kernel,
 };
-use tenblock_core::block::MbKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_core::{ExecPolicy, KernelKind};
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::DenseMatrix;
 
@@ -53,8 +53,8 @@ fn main() {
         let mut out = DenseMatrix::zeros(dims[0], rank);
         let fibers = x.count_fibers(tenblock_tensor::coo::MODE1_PERM);
 
-        let baseline = SplattKernel::new(&x, 0);
-        let base_secs = time_kernel(&baseline, &factors, &mut out, reps);
+        let baseline = mode0_kernel(KernelKind::Splatt, &x, [1, 1, 1], 0, ExecPolicy::serial());
+        let base_secs = time_kernel(&*baseline, &factors, &mut out, reps);
         println!(
             "{:<10} {:>12} {:>11.4} {:>10.2} {:>8.2}x  (SPLATT baseline)",
             name,
@@ -66,8 +66,8 @@ fn main() {
 
         for &grid in grids {
             let clamped: [usize; 3] = std::array::from_fn(|m| grid[m].min(dims[m].max(1)));
-            let k = MbKernel::new(&x, 0, clamped);
-            let secs = time_kernel(&k, &factors, &mut out, reps);
+            let k = mode0_kernel(KernelKind::Mb, &x, clamped, 0, ExecPolicy::serial());
+            let secs = time_kernel(&*k, &factors, &mut out, reps);
             println!(
                 "{:<10} {:>12} {:>11.4} {:>10.2} {:>8.2}x",
                 name,

@@ -6,12 +6,11 @@
 //!        [--scale f] [--reps n] [--ranks 16,32,64,128,256]`
 
 use tenblock_bench::{
-    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
-    FIG6_DATASETS,
+    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, mode0_kernel, scaled_dataset,
+    time_kernel, FIG6_DATASETS,
 };
-use tenblock_core::block::{MbKernel, MbRankBKernel, RankBKernel};
-use tenblock_core::mttkrp::SplattKernel;
 use tenblock_core::{tune, TuneOptions};
+use tenblock_core::{ExecPolicy, KernelKind};
 use tenblock_tensor::DenseMatrix;
 
 fn main() {
@@ -54,17 +53,29 @@ fn main() {
             topts.max_blocks = 32;
             let tuned = tune(&x, 0, &topts);
 
-            let base = SplattKernel::new(&x, 0);
-            let base_secs = time_kernel(&base, &factors, &mut out, reps);
+            let base = mode0_kernel(KernelKind::Splatt, &x, [1, 1, 1], 0, ExecPolicy::serial());
+            let base_secs = time_kernel(&*base, &factors, &mut out, reps);
 
-            let mb = MbKernel::new(&x, 0, tuned.grid);
-            let mb_secs = time_kernel(&mb, &factors, &mut out, reps);
+            let mb = mode0_kernel(KernelKind::Mb, &x, tuned.grid, 0, ExecPolicy::serial());
+            let mb_secs = time_kernel(&*mb, &factors, &mut out, reps);
 
-            let rb = RankBKernel::new(&x, 0, tuned.strip_width);
-            let rb_secs = time_kernel(&rb, &factors, &mut out, reps);
+            let rb = mode0_kernel(
+                KernelKind::RankB,
+                &x,
+                [1, 1, 1],
+                tuned.strip_width,
+                ExecPolicy::serial(),
+            );
+            let rb_secs = time_kernel(&*rb, &factors, &mut out, reps);
 
-            let both = MbRankBKernel::new(&x, 0, tuned.grid, tuned.strip_width);
-            let both_secs = time_kernel(&both, &factors, &mut out, reps);
+            let both = mode0_kernel(
+                KernelKind::MbRankB,
+                &x,
+                tuned.grid,
+                tuned.strip_width,
+                ExecPolicy::serial(),
+            );
+            let both_secs = time_kernel(&*both, &factors, &mut out, reps);
 
             println!(
                 "{:<10} {:>6} {:>12} {:>6} {:>9.4} {:>7.2}x {:>7.2}x {:>8.2}x",

@@ -9,10 +9,11 @@
 //! Run: `cargo run -p tenblock-bench --release --bin model_tuner [--scale f] [--rank r]`
 
 use tenblock_analysis::{tune_by_model, ModelTuneOptions};
-use tenblock_bench::{arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel};
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
+use tenblock_bench::{
+    arg_scale, arg_seed, arg_value, bench_factors, mode0_kernel, scaled_dataset, time_kernel,
+};
 use tenblock_core::{tune, TuneOptions};
+use tenblock_core::{ExecPolicy, KernelKind};
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::DenseMatrix;
 
@@ -44,12 +45,14 @@ fn main() {
         mopts.sample_nnz = 60_000;
         let modeled = tune_by_model(&x, 0, &mopts);
 
-        let k_meas = MbRankBKernel::new(&x, 0, measured.grid, measured.strip_width);
-        let k_model = MbRankBKernel::new(&x, 0, modeled.grid, modeled.strip_width);
-        let base = SplattKernel::new(&x, 0);
-        let t_meas = time_kernel(&k_meas, &factors, &mut out, 3);
-        let t_model = time_kernel(&k_model, &factors, &mut out, 3);
-        let t_base = time_kernel(&base, &factors, &mut out, 3);
+        let blocked =
+            |grid, strip| mode0_kernel(KernelKind::MbRankB, &x, grid, strip, ExecPolicy::serial());
+        let k_meas = blocked(measured.grid, measured.strip_width);
+        let k_model = blocked(modeled.grid, modeled.strip_width);
+        let base = mode0_kernel(KernelKind::Splatt, &x, [1, 1, 1], 0, ExecPolicy::serial());
+        let t_meas = time_kernel(&*k_meas, &factors, &mut out, 3);
+        let t_model = time_kernel(&*k_model, &factors, &mut out, 3);
+        let t_base = time_kernel(&*base, &factors, &mut out, 3);
 
         let fmt = |g: [usize; 3], s: usize| format!("{}x{}x{} / {}", g[0], g[1], g[2], s);
         println!(

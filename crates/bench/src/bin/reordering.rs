@@ -11,11 +11,11 @@
 //! Run: `cargo run -p tenblock-bench --release --bin reordering [--scale f] [--rank r]`
 
 use tenblock_bench::{
-    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, scaled_dataset, time_kernel,
+    arg_reps, arg_scale, arg_seed, arg_value, bench_factors, mode0_kernel, scaled_dataset,
+    time_kernel,
 };
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
 use tenblock_core::{tune, TuneOptions};
+use tenblock_core::{ExecPolicy, KernelKind};
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::reorder::{mode2_jump_score, Reordering};
 use tenblock_tensor::DenseMatrix;
@@ -44,8 +44,14 @@ fn main() {
     let mut out = DenseMatrix::zeros(original.dims()[0], rank);
 
     // baseline: scrambled tensor, no treatment
-    let base_k = SplattKernel::new(&scrambled, 0);
-    let base = time_kernel(&base_k, &factors, &mut out, reps);
+    let base_k = mode0_kernel(
+        KernelKind::Splatt,
+        &scrambled,
+        [1, 1, 1],
+        0,
+        ExecPolicy::serial(),
+    );
+    let base = time_kernel(&*base_k, &factors, &mut out, reps);
     println!(
         "{:<38} {:>11.4} {:>8.2}x {:>11.2}",
         "SPLATT on scrambled tensor",
@@ -70,8 +76,8 @@ fn main() {
         let rfactors: Vec<DenseMatrix> = (0..3)
             .map(|m| reordering.apply_to_factor(m, &factors[m]))
             .collect();
-        let k = SplattKernel::new(&rt, 0);
-        let secs = time_kernel(&k, &rfactors, &mut out, reps);
+        let k = mode0_kernel(KernelKind::Splatt, &rt, [1, 1, 1], 0, ExecPolicy::serial());
+        let secs = time_kernel(&*k, &rfactors, &mut out, reps);
         println!(
             "{:<38} {:>11.4} {:>8.2}x {:>11.2}",
             name,
@@ -86,8 +92,14 @@ fn main() {
     topts.reps = 1;
     topts.max_blocks = 16;
     let tuned = tune(&scrambled, 0, &topts);
-    let blocked = MbRankBKernel::new(&scrambled, 0, tuned.grid, tuned.strip_width);
-    let secs = time_kernel(&blocked, &factors, &mut out, reps);
+    let blocked = mode0_kernel(
+        KernelKind::MbRankB,
+        &scrambled,
+        tuned.grid,
+        tuned.strip_width,
+        ExecPolicy::serial(),
+    );
+    let secs = time_kernel(&*blocked, &factors, &mut out, reps);
     println!(
         "{:<38} {:>11.4} {:>8.2}x {:>11.2}",
         format!(

@@ -1,7 +1,7 @@
 //! # tenblock-bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper plus
-//! criterion micro-benchmarks. See DESIGN.md §5 for the experiment index
+//! the `tenblock bench` suite. See DESIGN.md §5 for the experiment index
 //! and EXPERIMENTS.md for recorded results.
 //!
 //! All binaries accept `--scale <f>` (default 1.0) to shrink/grow the data
@@ -12,7 +12,7 @@
 pub mod suite;
 
 use tenblock_core::timing::{time_reps, TimingStats};
-use tenblock_core::MttkrpKernel;
+use tenblock_core::{build_kernel, ExecPolicy, KernelConfig, KernelKind, MttkrpKernel};
 use tenblock_tensor::gen::Dataset;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -56,6 +56,23 @@ pub fn scaled_dataset(ds: Dataset, scale: f64, seed: u64) -> CooTensor {
         std::array::from_fn(|m| ((spec.default_dims[m] as f64 * dim_f) as usize).max(8));
     let nnz = ((spec.default_nnz as f64 * scale) as usize).max(1_000);
     ds.generate_with(dims, nnz, seed)
+}
+
+/// The mode-0 kernel of `kind` at `grid` and `strip_width` under `exec` —
+/// what the figure binaries time.
+pub fn mode0_kernel(
+    kind: KernelKind,
+    x: &CooTensor,
+    grid: [usize; NMODES],
+    strip_width: usize,
+    exec: ExecPolicy,
+) -> Box<dyn MttkrpKernel> {
+    let cfg = KernelConfig {
+        grid,
+        strip_width,
+        exec,
+    };
+    build_kernel(kind, x, 0, &cfg)
 }
 
 /// Deterministic factor matrices for benchmarking (values in [-0.5, 0.5)).

@@ -10,6 +10,10 @@
 //! compiles — `ALL` is a hand-maintained const, the write-set
 //! derivation and span are conventions, and the fuzzer only exercises
 //! what `ALL` lists. This pass turns each convention into a CI failure.
+//!
+//! Several variants may dispatch to one kernel type (the blocked engine
+//! serves five presets); that type's file obligations are checked once,
+//! and a finding names every variant that resolves to it.
 
 use super::Workspace;
 use crate::lexer::TokenKind;
@@ -70,6 +74,8 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         })
     });
 
+    // Kernel type → the variants dispatching to it, in first-seen order.
+    let mut kernel_types: Vec<(String, Vec<(String, usize)>)> = Vec::new();
     for (variant, vline) in &variants {
         match &all_range {
             Some((lo, hi, all_line)) => {
@@ -104,6 +110,19 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
                 )),
             }
         }
+        if !fuzz_iterates_all {
+            let named = fuzz_files
+                .iter()
+                .any(|f| f.tokens.iter().any(|t| t.kind.is_ident(variant)));
+            if !named && !fuzz_files.is_empty() {
+                out.push(kf(
+                    *vline,
+                    format!(
+                        "KernelKind::{variant} has no fuzz differential hook (fuzz crate neither iterates ALL nor names it)"
+                    ),
+                ));
+            }
+        }
         // Kernel type from the dispatch arm → defining file obligations.
         let Some(kernel_ty) = build.as_ref().and_then(|((open, close), _)| {
             kernel_type_of(
@@ -113,6 +132,19 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         }) else {
             continue; // missing dispatch arm already reported
         };
+        let entry = (variant.clone(), *vline);
+        match kernel_types.iter_mut().find(|(ty, _)| *ty == kernel_ty) {
+            Some((_, vs)) => vs.push(entry),
+            None => kernel_types.push((kernel_ty, vec![entry])),
+        }
+    }
+
+    for (kernel_ty, kinds) in &kernel_types {
+        let names: Vec<String> = kinds
+            .iter()
+            .map(|(v, _)| format!("KernelKind::{v}"))
+            .collect();
+        let kinds_label = names.join(", ");
         let impl_file = ws.graph.fns.iter().find(|n| {
             n.item.name == "mttkrp"
                 && n.item.owner.as_deref() == Some(kernel_ty.as_str())
@@ -120,8 +152,8 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         });
         let Some(impl_node) = impl_file else {
             out.push(kf(
-                *vline,
-                format!("{kernel_ty} (KernelKind::{variant}) has no MttkrpKernel::mttkrp impl"),
+                kinds[0].1,
+                format!("{kernel_ty} ({kinds_label}) has no MttkrpKernel::mttkrp impl"),
             ));
             continue;
         };
@@ -148,26 +180,13 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         };
         if !has_span {
             out.push(impl_finding(format!(
-                "{kernel_ty} (KernelKind::{variant}) has no \"mttkrp/…\" obs span"
+                "{kernel_ty} ({kinds_label}) has no \"mttkrp/…\" obs span"
             )));
         }
         if !has_write_sets {
             out.push(impl_finding(format!(
-                "{kernel_ty} (KernelKind::{variant}) has no write-set derivation (checked.rs helper or WriteSet)"
+                "{kernel_ty} ({kinds_label}) has no write-set derivation (checked.rs helper or WriteSet)"
             )));
-        }
-        if !fuzz_iterates_all {
-            let named = fuzz_files
-                .iter()
-                .any(|f| f.tokens.iter().any(|t| t.kind.is_ident(variant)));
-            if !named && !fuzz_files.is_empty() {
-                out.push(kf(
-                    *vline,
-                    format!(
-                        "KernelKind::{variant} has no fuzz differential hook (fuzz crate neither iterates ALL nor names it)"
-                    ),
-                ));
-            }
         }
     }
     out
@@ -348,6 +367,23 @@ mod tests {
         assert!(f
             .iter()
             .any(|x| x.excerpt.contains("no arm in build_validated")));
+    }
+
+    #[test]
+    fn variants_sharing_a_kernel_type_are_checked_once() {
+        let mut files = wired();
+        files[0].1 = files[0].1.replace(
+            "KernelKind::Coo => Box::new(CooKernel),",
+            "KernelKind::Coo => Box::new(BcooKernel),",
+        );
+        files[2].1 = files[2]
+            .1
+            .replace("let _s = obs::span(\"mttkrp/bcoo\");", "");
+        let f = run(&ws_of(files));
+        assert_eq!(f.len(), 1, "one finding for the shared type: {f:?}");
+        assert!(f[0]
+            .excerpt
+            .contains("BcooKernel (KernelKind::Coo, KernelKind::Bcoo) has no"));
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! Blocking optimizations (Section V of the paper): the multi-dimensional
-//! blocking grid, the MB kernel, the rank-blocked kernel, and their
-//! combination.
+//! blocking grid and the one blocked MTTKRP engine whose presets are
+//! SPLATT, MB, RankB, MB+RankB and BCOO.
 
-mod combined;
+mod engine;
 mod grid;
-mod mb;
-mod rankb;
 
-pub use combined::MbRankBKernel;
+pub(crate) use engine::blocked_counters;
+pub use engine::{BlockedKernel, RankbLayout, Traversal};
 pub use grid::BlockGrid;
-pub use mb::{MbKernel, Traversal};
-pub use rankb::{RankBKernel, RankbLayout};
 
 /// Splits a row-major matrix buffer into disjoint mutable chunks at the
 /// given row `bounds` (length `n + 1`, ascending, covering all rows).

@@ -5,74 +5,26 @@
 //! footprint of every parallel task as a [`WriteSet`]: the contiguous range
 //! it *owns* (from the partition arithmetic) and the rows it will actually
 //! *touch* (from the tensor data — slice ids, block contents, root fids).
-//! The builders here mirror each kernel's partitioning formula exactly, so
-//! a drifted boundary in the real structures shows up as a write-set
+//! The write sets mirror each kernel's partitioning formula exactly, so a
+//! drifted boundary in the real structures shows up as a write-set
 //! violation before any task runs.
 
+use std::ops::Range;
 use tenblock_check::{Violation, WriteSet};
-use tenblock_tensor::{BcooTensor, CsfTensor, SplattTensor};
+use tenblock_tensor::CsfTensor;
 
-/// Write sets for output rows handed out `chunk` rows at a time over a
-/// SPLATT tensor — the partitioning of the SPLATT kernel's
-/// `par_chunks_mut(chunk * rank)` and the RankB pass's stepped bounds.
-/// Task `t` owns rows `[t*chunk, (t+1)*chunk)` (clamped) and touches the
-/// global row of every slice in the same index window.
-pub(crate) fn slice_chunk_write_sets(
-    t: &SplattTensor,
-    out_rows: usize,
-    chunk: usize,
+/// Write sets for tasks that split the output into row ranges: task `t`
+/// owns the `t`-th range and touches the rows listed with it. Callers read
+/// the touched rows from the stored data (slice ids, decoded block origins
+/// and offsets), independent of the arithmetic that drew the ranges, so a
+/// drifted boundary shows up as an overlap with the neighbouring claim.
+pub(crate) fn task_write_sets(
+    tasks: impl Iterator<Item = (Range<usize>, Vec<usize>)>,
 ) -> Vec<WriteSet> {
-    let n_slices = t.n_slices();
-    let mut sets = Vec::new();
-    let mut lo = 0usize;
-    let mut task = 0usize;
-    while lo < out_rows {
-        let hi = (lo + chunk).min(out_rows);
-        let s_lo = lo.min(n_slices);
-        let s_hi = (lo + chunk).min(n_slices);
-        sets.push(WriteSet::new(task, lo..hi).touch_all((s_lo..s_hi).map(|s| t.slice_global(s))));
-        lo = hi;
-        task += 1;
-    }
-    sets
-}
-
-/// Write sets for a blocked kernel parallel over slice-axis block rows:
-/// task `a` owns `bounds0[a]..bounds0[a+1]` and touches the global row of
-/// every slice in every block of row `a` (the compressed blocks store true
-/// row ids, so this cross-checks the grid assignment against the claim).
-pub(crate) fn block_row_write_sets<'a>(
-    bounds0: &[usize],
-    row_blocks: impl Fn(usize) -> Box<dyn Iterator<Item = &'a SplattTensor> + 'a>,
-) -> Vec<WriteSet> {
-    let mut sets = Vec::new();
-    for (a, w) in bounds0.windows(2).enumerate() {
-        let mut ws = WriteSet::new(a, w[0]..w[1]);
-        for t in row_blocks(a) {
-            ws = ws.touch_all((0..t.n_slices()).map(|s| t.slice_global(s)));
-        }
-        sets.push(ws);
-    }
-    sets
-}
-
-/// Write sets for the BCOO kernel, parallel over slice-axis block rows:
-/// task `a` owns `bounds0[a]..bounds0[a+1]` and touches the global output
-/// row of every nonzero in every block of row `a`. Touches decode as
-/// `block origin + stored local offset` — independent of the bounds
-/// arithmetic — so a drifted boundary shows up as an overlap against the
-/// neighboring task's claim.
-pub(crate) fn bcoo_row_write_sets(t: &BcooTensor) -> Vec<WriteSet> {
-    let bounds0 = t.bounds(0);
-    let mut sets = Vec::new();
-    for (a, w) in bounds0.windows(2).enumerate() {
-        let mut ws = WriteSet::new(a, w[0]..w[1]);
-        for i in t.row_blocks(a) {
-            ws = ws.touch_all(t.block_slice_rows(i));
-        }
-        sets.push(ws);
-    }
-    sets
+    tasks
+        .enumerate()
+        .map(|(t, (owned, touched))| WriteSet::new(t, owned).touch_all(touched))
+        .collect()
 }
 
 /// Write sets for the CSF strip pass, which splits the output buffer at the
@@ -132,19 +84,7 @@ pub(crate) fn push_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tenblock_tensor::gen::uniform_tensor;
     use tenblock_tensor::NdCooTensor;
-
-    #[test]
-    fn slice_chunks_tile_and_touch_identity_for_uncompressed() {
-        let x = uniform_tensor([10, 6, 6], 100, 3);
-        let t = SplattTensor::for_mode(&x, 0);
-        let sets = slice_chunk_write_sets(&t, 10, 4);
-        assert_eq!(sets.len(), 3);
-        assert_eq!(sets[0].owned, 0..4);
-        assert_eq!(sets[2].owned, 8..10);
-        assert!(tenblock_check::check_write_sets("SPLATT", 10, &sets).is_ok());
-    }
 
     #[test]
     fn csf_roots_fold_skip_regions_into_claims() {

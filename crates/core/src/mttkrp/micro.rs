@@ -10,7 +10,9 @@
 //! access, still decode-free).
 
 use super::{reg_chunk, RowWindow, REG_BLOCK};
-use tenblock_tensor::{DenseMatrix, NMODES};
+use std::ops::Range;
+use tenblock_tensor::bcoo::BcooOffsets;
+use tenblock_tensor::{BcooTensor, DenseMatrix, NMODES};
 
 /// A block-local coordinate at one of the stored widths (u8/u16/u32).
 pub(crate) trait LocalOff: Copy + Send + Sync {
@@ -89,6 +91,68 @@ fn gather_rows(buf: &mut Vec<f64>, m: &DenseMatrix, base: usize, len: usize) {
     }
 }
 
+/// Executes block `i` of `t` into the task's output rows `out_rows`
+/// (starting at global row `row0`). With `cut`, only the block's entries
+/// whose output row falls in `cut` run — the block's entries are sorted
+/// by local slice, so they form one contiguous run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_bcoo_block(
+    t: &BcooTensor,
+    i: usize,
+    cut: Option<&Range<usize>>,
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+    out_rows: &mut [f64],
+    row0: usize,
+    rank: usize,
+    strip_width: usize,
+    scratch: &mut GatherBuf,
+) {
+    let range = t.block_range(i);
+    let vals = &t.vals()[range.clone()];
+    let origin = t.block(i).origin.map(|o| o as usize);
+    let spans = [t.block_span(i, 0), t.block_span(i, 1), t.block_span(i, 2)];
+    let block = (origin, spans, b, c);
+    let out = (out_rows, row0, rank, strip_width);
+    match t.offsets() {
+        BcooOffsets::U8(o) => run_cut(&o[range], vals, cut, block, out, scratch),
+        BcooOffsets::U16(o) => run_cut(&o[range], vals, cut, block, out, scratch),
+        BcooOffsets::U32(o) => run_cut(&o[range], vals, cut, block, out, scratch),
+    }
+}
+
+/// [`process_block_bcoo`] over the entries of one block inside `cut`.
+fn run_cut<T: LocalOff>(
+    offs: &[[T; NMODES]],
+    vals: &[f64],
+    cut: Option<&Range<usize>>,
+    (origin, spans, b, c): ([usize; NMODES], [usize; NMODES], &DenseMatrix, &DenseMatrix),
+    (out_rows, row0, rank, strip_width): (&mut [f64], usize, usize, usize),
+    scratch: &mut GatherBuf,
+) {
+    let first_at = |row: usize| {
+        let local = row.saturating_sub(origin[0]);
+        offs.partition_point(|o| o[0].idx() < local)
+    };
+    let entries = match cut {
+        Some(rows) => first_at(rows.start)..first_at(rows.end),
+        None => 0..offs.len(),
+    };
+    process_block_bcoo(
+        &offs[entries.clone()],
+        &vals[entries],
+        b,
+        c,
+        origin,
+        spans,
+        out_rows,
+        row0,
+        rank,
+        strip_width,
+        scratch,
+    );
+}
+
 /// Executes one BCOO block: entries `offs`/`vals` (block-local, sorted by
 /// `(a, k, j)`), factor matrices `b`/`c` (kernel modes 2 and 3), block
 /// `origin` and bounds `spans` per kernel axis, and the owning task's
@@ -107,11 +171,11 @@ pub(crate) fn process_block_bcoo<T: LocalOff>(
     strip_width: usize,
     scratch: &mut GatherBuf,
 ) {
-    let row_base = origin[0] - row0;
     // A gather pays one row copy per sub-row and is repaid by every strip
     // re-reading the gathered rows; it wins once the block has at least as
     // many nonzeros as sub-rows.
     let gather = offs.len() >= spans[1] + spans[2];
+    let rows_at = (origin[0], row0);
     if gather {
         gather_rows(&mut scratch.b, b, origin[1], spans[1]);
         gather_rows(&mut scratch.c, c, origin[2], spans[2]);
@@ -132,7 +196,7 @@ pub(crate) fn process_block_bcoo<T: LocalOff>(
                 col0,
                 width,
             };
-            bcoo_strip(offs, vals, &bw, &cw, out_rows, row_base, rank, col0, width);
+            bcoo_strip(offs, vals, &bw, &cw, out_rows, rows_at, rank, col0, width);
         } else {
             let bw = ShiftedWindow {
                 m: b,
@@ -146,7 +210,7 @@ pub(crate) fn process_block_bcoo<T: LocalOff>(
                 col0,
                 width,
             };
-            bcoo_strip(offs, vals, &bw, &cw, out_rows, row_base, rank, col0, width);
+            bcoo_strip(offs, vals, &bw, &cw, out_rows, rows_at, rank, col0, width);
         }
         col0 += width;
     }
@@ -164,7 +228,7 @@ fn bcoo_strip<T: LocalOff, B: RowWindow, C: RowWindow>(
     bw: &B,
     cw: &C,
     out_rows: &mut [f64],
-    row_base: usize,
+    (origin0, row0): (usize, usize),
     rank: usize,
     col0: usize,
     width: usize,
@@ -177,7 +241,8 @@ fn bcoo_strip<T: LocalOff, B: RowWindow, C: RowWindow>(
             end += 1;
         }
         let crow = cw.window(lk);
-        let obase = (row_base + la) * rank + col0;
+        // `origin0 + la` is a row this task owns, so it is `>= row0`.
+        let obase = (origin0 + la - row0) * rank + col0;
         let mut col = 0;
         // full 16-wide register chunks
         while col + REG_BLOCK <= width {
@@ -218,111 +283,10 @@ fn bcoo_strip<T: LocalOff, B: RowWindow, C: RowWindow>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::block::BlockedKernel;
+    use crate::kernel::MttkrpKernel;
     use crate::mttkrp::dense_mttkrp;
-    use tenblock_tensor::bcoo::{BcooOffsets, BcooTensor};
-    use tenblock_tensor::gen::uniform_tensor;
-    use tenblock_tensor::{CooTensor, DenseMatrix};
-
-    /// Runs the micro-kernel over every block of `t` serially.
-    fn run_bcoo(
-        t: &BcooTensor,
-        b: &DenseMatrix,
-        c: &DenseMatrix,
-        rank: usize,
-        strip: usize,
-    ) -> Vec<f64> {
-        let dims = t.dims();
-        let perm = t.perm();
-        let mut out = vec![0.0; dims[perm[0]] * rank];
-        let mut scratch = GatherBuf::default();
-        for i in 0..t.n_blocks() {
-            let blk = t.block(i);
-            let range = t.block_range(i);
-            let origin = blk.origin.map(|o| o as usize);
-            let spans = [t.block_span(i, 0), t.block_span(i, 1), t.block_span(i, 2)];
-            let vals = &t.vals()[range.clone()];
-            match t.offsets() {
-                BcooOffsets::U8(o) => process_block_bcoo(
-                    &o[range],
-                    vals,
-                    b,
-                    c,
-                    origin,
-                    spans,
-                    &mut out,
-                    0,
-                    rank,
-                    strip,
-                    &mut scratch,
-                ),
-                BcooOffsets::U16(o) => process_block_bcoo(
-                    &o[range],
-                    vals,
-                    b,
-                    c,
-                    origin,
-                    spans,
-                    &mut out,
-                    0,
-                    rank,
-                    strip,
-                    &mut scratch,
-                ),
-                BcooOffsets::U32(o) => process_block_bcoo(
-                    &o[range],
-                    vals,
-                    b,
-                    c,
-                    origin,
-                    spans,
-                    &mut out,
-                    0,
-                    rank,
-                    strip,
-                    &mut scratch,
-                ),
-            }
-        }
-        out
-    }
-
-    fn factors(dims: [usize; 3], rank: usize) -> Vec<DenseMatrix> {
-        (0..3)
-            .map(|m| {
-                DenseMatrix::from_fn(dims[m], rank, |r, c| {
-                    (((r * 31 + c * 7 + m * 3) % 23) as f64 - 11.0) * 0.09
-                })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn bcoo_micro_kernel_matches_dense_reference() {
-        let x = uniform_tensor([14, 11, 9], 400, 21);
-        for rank in [5, 16, 37] {
-            let fs_owned = factors(x.dims(), rank);
-            let fs: [&DenseMatrix; 3] = [&fs_owned[0], &fs_owned[1], &fs_owned[2]];
-            for mode in 0..3 {
-                let expect = dense_mttkrp(&x, &fs, mode);
-                let perm = tenblock_tensor::coo::perm_for_mode(mode);
-                let t = BcooTensor::from_coo(&x, mode, [3.min(x.dims()[perm[0]]), 2, 2]);
-                let b = fs[perm[1]];
-                let c = fs[perm[2]];
-                for strip in [4, 16, rank] {
-                    let out = run_bcoo(&t, b, c, rank, strip);
-                    for (r, got) in out.chunks(rank.max(1)).enumerate() {
-                        for (l, &g) in got.iter().enumerate() {
-                            assert!(
-                                (g - expect.get(r, l)).abs() < 1e-9,
-                                "mode {mode} rank {rank} strip {strip} at ({r},{l})"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
+    use tenblock_tensor::{CooTensor, DenseMatrix, Entry};
 
     #[test]
     fn bcoo_micro_kernel_gather_and_direct_paths_agree() {
@@ -333,31 +297,24 @@ mod tests {
         for i in 0..6u32 {
             for j in 0..6u32 {
                 for k in 0..6u32 {
-                    entries.push(tenblock_tensor::Entry::new(
-                        i,
-                        j,
-                        k,
-                        (i + 2 * j + k) as f64 * 0.1,
-                    ));
+                    entries.push(Entry::new(i, j, k, (i + 2 * j + k) as f64 * 0.1));
                 }
             }
         }
-        entries.push(tenblock_tensor::Entry::new(30, 30, 30, 2.5));
-        entries.push(tenblock_tensor::Entry::new(31, 29, 28, -1.5));
+        entries.push(Entry::new(30, 30, 30, 2.5));
+        entries.push(Entry::new(31, 29, 28, -1.5));
         let x = CooTensor::from_entries([32, 32, 32], entries);
         let rank = 17;
-        let fs_owned = factors(x.dims(), rank);
-        let fs: [&DenseMatrix; 3] = [&fs_owned[0], &fs_owned[1], &fs_owned[2]];
-        let expect = dense_mttkrp(&x, &fs, 0);
-        let t = BcooTensor::from_coo(&x, 0, [4, 4, 4]);
-        let out = run_bcoo(&t, fs[1], fs[2], rank, 16);
-        for r in 0..32 {
-            for l in 0..rank {
-                assert!(
-                    (out[r * rank + l] - expect.get(r, l)).abs() < 1e-9,
-                    "({r},{l})"
-                );
-            }
-        }
+        let factors: Vec<DenseMatrix> = (0..3)
+            .map(|m| {
+                DenseMatrix::from_fn(32, rank, |r, c| {
+                    (((r * 31 + c * 7 + m * 3) % 23) as f64 - 11.0) * 0.09
+                })
+            })
+            .collect();
+        let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
+        let mut out = DenseMatrix::zeros(32, rank);
+        BlockedKernel::bcoo(&x, 0, [4, 4, 4], 16).mttkrp(&fs, &mut out);
+        assert!(dense_mttkrp(&x, &fs, 0).approx_eq(&out, 1e-9));
     }
 }

@@ -1,20 +1,17 @@
-//! MTTKRP kernels: shared inner loops, the COO kernel, the SPLATT baseline
-//! (Algorithm 1), and a dense reference implementation.
+//! MTTKRP kernels: the inner loops the blocked engine
+//! ([`crate::block::BlockedKernel`]) runs per block, the COO and CSF
+//! kernels, and a dense reference implementation.
 
 mod allmode;
-mod bcoo;
 mod coo;
 mod csf;
 mod dense_ref;
 pub(crate) mod micro;
-mod splatt;
 
 pub use allmode::AllModeKernel;
-pub use bcoo::BcooKernel;
 pub use coo::CooKernel;
 pub use csf::{nd_mttkrp_reference, Csf3Kernel, CsfKernel};
 pub use dense_ref::dense_mttkrp;
-pub use splatt::SplattKernel;
 
 use tenblock_tensor::{DenseMatrix, SplattTensor, StripMatrix};
 
@@ -30,10 +27,13 @@ pub const REG_BLOCK: usize = 16;
 #[inline(always)]
 pub(crate) fn reg_chunk(row: &[f64], col: usize) -> &[f64; REG_BLOCK] {
     // Infallible: the slice is exactly REG_BLOCK long, and the hot loops
-    // must stay branch-free. Re-audited by the panic-reach pass (PR 8):
-    // every witnessed chain (MbRankBKernel/Csf3Kernel/SplattKernel::mttkrp
-    // → … → reg_chunk) reaches this site through a
-    // `while col + REG_BLOCK <= width` guard over a width-long window.
+    // must stay branch-free. Re-audited against the panic-reach witness
+    // chains after the blocked kernels became one engine. Both callers —
+    // `process_block_rankb` (BlockedKernel::mttkrp → register_pass) and
+    // the BCOO `bcoo_strip` (BlockedKernel::mttkrp → run_bcoo_block, and
+    // StreamingMttkrp::run, via process_block_bcoo) — reach this site
+    // through a `while col + REG_BLOCK <= width` guard over a width-long
+    // window.
     row[col..col + REG_BLOCK].try_into().unwrap() // lint: allow(no-unwrap, panic-reach)
 }
 
@@ -196,80 +196,6 @@ pub(crate) fn process_block_rankb<B: RowWindow, C: RowWindow>(
                 for (l, o) in orow.iter_mut().enumerate() {
                     *o += reg[l] * crow[col + l];
                 }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tenblock_tensor::coo::MODE1_PERM;
-    use tenblock_tensor::CooTensor;
-
-    fn tiny() -> (CooTensor, DenseMatrix, DenseMatrix) {
-        let x = CooTensor::from_triples(
-            [3, 3, 3],
-            &[0, 0, 0, 1, 1, 1, 2],
-            &[0, 1, 1, 0, 1, 2, 0],
-            &[0, 1, 2, 2, 1, 2, 0],
-            &[5.0, 3.0, 1.0, 2.0, 9.0, 7.0, 9.0],
-        );
-        let b = DenseMatrix::from_fn(3, 4, |r, c| (r * 4 + c + 1) as f64);
-        let c = DenseMatrix::from_fn(3, 4, |r, c| ((r + 2) * (c + 1)) as f64 * 0.5);
-        (x, b, c)
-    }
-
-    #[test]
-    fn plain_and_rankb_agree() {
-        let (x, b, c) = tiny();
-        let t = SplattTensor::from_coo(&x, MODE1_PERM);
-        let rank = 4;
-        let mut out_plain = vec![0.0; 3 * rank];
-        let mut accum = vec![0.0; rank];
-        process_block_plain(&t, &b, &c, 0..3, &mut out_plain, 0, &mut accum);
-
-        let mut out_rb = vec![0.0; 3 * rank];
-        let bw = DenseWindow::new(&b, 0, rank);
-        let cw = DenseWindow::new(&c, 0, rank);
-        process_block_rankb(&t, &bw, &cw, 0..3, &mut out_rb, 0, rank, 0, rank);
-
-        for (p, r) in out_plain.iter().zip(&out_rb) {
-            assert!((p - r).abs() < 1e-12, "{p} vs {r}");
-        }
-    }
-
-    #[test]
-    fn rankb_wide_rank_with_remainder() {
-        let (x, _, _) = tiny();
-        let rank = 37; // 2 full chunks of 16 + remainder of 5
-        let b = DenseMatrix::from_fn(3, rank, |r, c| ((r + 1) * (c + 1)) as f64 * 0.01);
-        let c = DenseMatrix::from_fn(3, rank, |r, c| ((r * 7 + c) % 11) as f64);
-        let t = SplattTensor::from_coo(&x, MODE1_PERM);
-
-        let mut out_plain = vec![0.0; 3 * rank];
-        let mut accum = vec![0.0; rank];
-        process_block_plain(&t, &b, &c, 0..3, &mut out_plain, 0, &mut accum);
-
-        let mut out_rb = vec![0.0; 3 * rank];
-        let bw = DenseWindow::new(&b, 0, rank);
-        let cw = DenseWindow::new(&c, 0, rank);
-        process_block_rankb(&t, &bw, &cw, 0..3, &mut out_rb, 0, rank, 0, rank);
-
-        for (p, r) in out_plain.iter().zip(&out_rb) {
-            assert!((p - r).abs() < 1e-9, "{p} vs {r}");
-        }
-    }
-
-    #[test]
-    fn strip_window_matches_dense_window() {
-        let m = DenseMatrix::from_fn(5, 20, |r, c| (r * 100 + c) as f64);
-        let s = StripMatrix::from_dense(&m, 8);
-        for strip in 0..s.n_strips() {
-            let dw = DenseWindow::new(&m, s.col_begin(strip), s.width_of(strip));
-            let sw = StripWindow::new(&s, strip);
-            for r in 0..5 {
-                assert_eq!(dw.window(r), sw.window(r));
             }
         }
     }

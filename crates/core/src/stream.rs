@@ -4,12 +4,14 @@
 //! instead of holding a layout: a prefetch thread loads and re-sorts the
 //! next tile while the compute thread runs the BCOO micro-kernel on the
 //! current one (rendezvous channel — classic double buffering, at most
-//! two tiles resident). The result is **bit-for-bit identical** to the
-//! in-memory MB and BCOO kernels in serial mode, which pins down three
-//! invariants this module must never break:
+//! two tiles resident). Each tile runs through the blocked engine's BCOO
+//! block executor, and the span reports the engine's counters. The result
+//! is **bit-for-bit identical** to the in-memory blocked presets at the
+//! same grid, which pins down three invariants this module must never
+//! break:
 //!
 //! 1. tiles execute sorted by kernel-axis cell id — the order the BCOO
-//!    block table stores and the MB kernel's block-major loop visits;
+//!    block table stores and the fiber-CSR grid's block-major loop visits;
 //! 2. entries within a tile execute in `(slice, k, j)` local order — the
 //!    sort `BcooTensor::from_coo` applies (unique coordinates, so the
 //!    unstable sort is deterministic);
@@ -21,15 +23,17 @@
 //! tile actually decodes are accumulated *during* the stream, and the
 //! usual disjointness/coverage verdict runs once at the end.
 
+use crate::block::blocked_counters;
+use crate::checked::task_write_sets;
 use crate::exec::ExecPolicy;
 use crate::mttkrp::micro::{process_block_bcoo, GatherBuf};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Instant;
-use tenblock_check::{write_set_violations, RaceReport, WriteSet};
+use tenblock_check::{write_set_violations, RaceReport};
 use tenblock_faults::{is_transient, Backoff, FaultOp, FaultPolicy, IoOutcome};
-use tenblock_obs::{KernelCounters, StreamStats};
+use tenblock_obs::StreamStats;
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::io_bin::BinError;
 use tenblock_tensor::{DenseMatrix, SourceTile, TensorSource, NMODES};
@@ -94,6 +98,8 @@ struct KernelTile {
     spans: [usize; NMODES],
     offs: Vec<[u32; NMODES]>,
     vals: Vec<f64>,
+    /// `(slice, k)` fiber runs in the sorted entries.
+    fibers: usize,
     bytes: u64,
 }
 
@@ -108,7 +114,7 @@ pub struct StreamingMttkrp<'a> {
 
 impl<'a> StreamingMttkrp<'a> {
     /// A driver for the mode-`mode` MTTKRP with `strip_width`-column rank
-    /// strips (0 means whole-rank), matching `BcooKernel`'s convention.
+    /// strips (0 means whole-rank), matching the BCOO preset's convention.
     pub fn new(src: &'a dyn TensorSource, mode: usize, strip_width: usize) -> Self {
         StreamingMttkrp {
             src,
@@ -174,10 +180,6 @@ impl<'a> StreamingMttkrp<'a> {
         if span.active() {
             span.annotate_num("mode", self.mode as f64);
             span.annotate_num("tiles", self.src.n_tiles() as f64);
-            span.counters(
-                &KernelCounters::coo_model(self.src.nnz() as u64, rank as u64)
-                    .with_blocks(self.src.n_tiles() as u64),
-            );
         }
         out.fill_zero();
 
@@ -191,7 +193,7 @@ impl<'a> StreamingMttkrp<'a> {
         // Grid bounds per original axis — the shared `uniform_bounds`
         // contract every source obeys. Spans fed to the micro-kernel come
         // from here (invariant 3), not from the decoded offsets, so the
-        // per-block gather heuristic sees exactly what `BcooKernel` sees.
+        // per-block gather heuristic sees exactly what the BCOO preset sees.
         let bounds: [Vec<usize>; NMODES] = [
             tenblock_tensor::bcoo::uniform_bounds(dims[0], grid[0]),
             tenblock_tensor::bcoo::uniform_bounds(dims[1], grid[1]),
@@ -209,6 +211,7 @@ impl<'a> StreamingMttkrp<'a> {
         let faults = self.exec.faults.clone();
         let n_expected = order.len();
         let mut scratch = GatherBuf::default();
+        let (mut fibers, mut tile_bytes) = (0usize, 0u64);
         let out_rows = out.as_mut_slice();
 
         std::thread::scope(|scope| -> Result<(), StreamError> {
@@ -263,6 +266,8 @@ impl<'a> StreamingMttkrp<'a> {
                 let tile = msg?;
                 received += 1;
                 stats.add_tile(tile.bytes);
+                fibers += tile.fibers;
+                tile_bytes += tile.bytes;
                 if self.exec.is_checked() {
                     let band = &mut touched[tile.slice_cell];
                     let mut prev = usize::MAX;
@@ -291,12 +296,16 @@ impl<'a> StreamingMttkrp<'a> {
             Ok(())
         })?;
 
+        if span.active() {
+            // The tensor stream is the tile bytes actually read.
+            let mut counters =
+                blocked_counters(self.src.nnz(), fibers, n_expected, rank, self.strip_width);
+            counters.tensor_bytes = tile_bytes;
+            span.counters(&counters);
+        }
         if self.exec.is_checked() {
-            let sets: Vec<WriteSet> = touched
-                .into_iter()
-                .enumerate()
-                .map(|(a, rows)| WriteSet::new(a, bounds0[a]..bounds0[a + 1]).touch_all(rows))
-                .collect();
+            let bands = touched.into_iter().enumerate();
+            let sets = task_write_sets(bands.map(|(a, rows)| (bounds0[a]..bounds0[a + 1], rows)));
             let violations = write_set_violations(dims[self.mode], &sets);
             RaceReport::check("STREAM", violations).map_err(StreamError::Race)?;
         }
@@ -321,11 +330,16 @@ fn prepare_tile(
         let l = tile.locals[e as usize];
         (l[perm[0]], l[perm[2]], l[perm[1]])
     });
-    let mut offs = Vec::with_capacity(n);
+    let mut offs: Vec<[u32; NMODES]> = Vec::with_capacity(n);
     let mut vals = Vec::with_capacity(n);
+    let mut fibers = 0;
     for &e in &order {
         let l = tile.locals[e as usize];
-        offs.push([l[perm[0]], l[perm[1]], l[perm[2]]]);
+        let off = [l[perm[0]], l[perm[1]], l[perm[2]]];
+        if offs.last().is_none_or(|p| (p[0], p[2]) != (off[0], off[2])) {
+            fibers += 1;
+        }
+        offs.push(off);
         vals.push(tile.vals[e as usize]);
     }
     let mut origin = [0usize; NMODES];
@@ -342,6 +356,7 @@ fn prepare_tile(
         spans,
         offs,
         vals,
+        fibers,
         bytes,
     }
 }
@@ -434,9 +449,8 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::MbKernel;
+    use crate::block::BlockedKernel;
     use crate::kernel::MttkrpKernel;
-    use crate::mttkrp::BcooKernel;
     use tenblock_tensor::gen::{clustered_tensor, uniform_tensor, ClusteredConfig};
     use tenblock_tensor::{BcooSource, BcooTensor, CooSource, CooTensor};
 
@@ -465,51 +479,36 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_bcoo_bit_for_bit_every_mode() {
-        let cfg = ClusteredConfig::new([60, 45, 30], 2_500);
-        let x = clustered_tensor(&cfg, 5);
-        let grid_orig = [4, 3, 2];
-        let rank = 17; // not a multiple of the strip width
-        let factors = factors_for(&x, rank);
-        let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-        let src = CooSource::new(&x, grid_orig);
-        for mode in 0..NMODES {
-            let perm = perm_for_mode(mode);
-            let grid_kernel = [grid_orig[perm[0]], grid_orig[perm[1]], grid_orig[perm[2]]];
-            for strip in [0, 8, 16] {
-                let k = BcooKernel::new(&x, mode, grid_kernel, strip);
-                let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
-                k.mttkrp(&fs, &mut expect);
-                let mut got = DenseMatrix::zeros(x.dims()[mode], rank);
-                StreamingMttkrp::new(&src, mode, strip)
-                    .run(&fs, &mut got)
-                    .unwrap();
-                assert_bits_equal(&expect, &got, &format!("mode {mode} strip {strip}"));
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_matches_mb_bit_for_bit() {
+    fn streaming_reports_the_bcoo_presets_counters() {
+        use tenblock_obs::{Rec, TraceRecorder};
         let x = uniform_tensor([48, 32, 24], 1_800, 31);
         let grid_orig = [3, 2, 2];
-        let rank = 16;
+        let rank = 24;
         let factors = factors_for(&x, rank);
         let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
         let src = CooSource::new(&x, grid_orig);
-        for mode in 0..NMODES {
-            let perm = perm_for_mode(mode);
-            let grid_kernel = [grid_orig[perm[0]], grid_orig[perm[1]], grid_orig[perm[2]]];
-            let k = MbKernel::new(&x, mode, grid_kernel);
-            let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
-            k.mttkrp(&fs, &mut expect);
-            // Whole-rank strips: the plain per-entry update order.
-            let mut got = DenseMatrix::zeros(x.dims()[mode], rank);
-            StreamingMttkrp::new(&src, mode, 0)
-                .run(&fs, &mut got)
-                .unwrap();
-            assert_bits_equal(&expect, &got, &format!("MB mode {mode}"));
-        }
+        let tracer = Arc::new(TraceRecorder::new());
+        let exec = ExecPolicy::serial().with_recorder(Rec::new(Arc::clone(&tracer) as _));
+        let mut out = DenseMatrix::zeros(x.dims()[0], rank);
+        BlockedKernel::bcoo(&x, 0, grid_orig, 16)
+            .with_exec(exec.clone())
+            .mttkrp(&fs, &mut out);
+        StreamingMttkrp::new(&src, 0, 16)
+            .with_exec(exec)
+            .run(&fs, &mut out)
+            .unwrap();
+        let spans = tracer.snapshot();
+        let counters = |name: &str| {
+            let span = spans.iter().find(|s| s.name == name).expect(name);
+            span.counters.expect("kernel span has counters")
+        };
+        let (bcoo, stream) = (counters("mttkrp/BCOO"), counters("mttkrp/STREAM"));
+        // Same fiber runs, blocks and strips; only the byte stream differs
+        // (the BCOO slab vs the 20-byte tile encoding).
+        assert_eq!(stream.fibers, bcoo.fibers);
+        assert_eq!(stream.flops, bcoo.flops);
+        assert_eq!((stream.blocks, stream.strips), (bcoo.blocks, bcoo.strips));
+        assert_eq!(stream.tensor_bytes, src.total_tile_bytes());
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //! The search cost is `O(log2 I_n)` per mode, "relatively inexpensive
 //! compared to the 10–1000s of iterations required for decomposition".
 
-use crate::block::MbRankBKernel;
 use crate::exec::ExecPolicy;
-use crate::kernel::{KernelKind, MttkrpKernel};
-use crate::mttkrp::{BcooKernel, REG_BLOCK};
-use crate::timing::{time_reps, TimingStats};
+use crate::kernel::{build_kernel, KernelConfig, KernelKind};
+use crate::mttkrp::REG_BLOCK;
+use crate::timing::time_reps;
 use tenblock_tensor::coo::perm_for_mode;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
@@ -187,36 +186,6 @@ fn timing_factors(coo: &CooTensor, rank: usize, seed: u64) -> Vec<DenseMatrix> {
         .collect()
 }
 
-/// Times one configuration: one discarded warmup rep then best of `reps`
-/// runs of a freshly built kernel of the candidate family (construction
-/// cost excluded, as the paper amortizes it over the CPD iterations). The
-/// warmup absorbs first-touch page faults in `out`, which otherwise skew
-/// min-of-1 candidate comparisons on small tensors.
-#[allow(clippy::too_many_arguments)]
-fn time_config(
-    kind: KernelKind,
-    coo: &CooTensor,
-    mode: usize,
-    grid: [usize; NMODES],
-    strip_width: usize,
-    factors: &[DenseMatrix],
-    out: &mut DenseMatrix,
-    opts: &TuneOptions,
-) -> TimingStats {
-    // Candidate timing runs with the recorder stripped: per-candidate spans
-    // come from `tune` itself, not from every repetition's kernel call.
-    let exec = ExecPolicy {
-        threads: opts.exec.threads,
-        ..ExecPolicy::default()
-    };
-    let kernel: Box<dyn MttkrpKernel> = match kind {
-        KernelKind::Bcoo => Box::new(BcooKernel::new(coo, mode, grid, strip_width).with_exec(exec)),
-        _ => Box::new(MbRankBKernel::new(coo, mode, grid, strip_width).with_exec(exec)),
-    };
-    let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
-    time_reps(1, opts.reps, || kernel.mttkrp(&fs, out))
-}
-
 /// Runs the Section V-C heuristic, rejecting degenerate inputs (empty
 /// tensor, rank 0, out-of-range mode, zero-length axis) with a typed
 /// [`TuneError`] instead of panicking mid-search.
@@ -308,6 +277,7 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
     let perm = perm_for_mode(mode);
     let dims = coo.dims();
     let factors = timing_factors(coo, opts.rank, opts.seed);
+    let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
     let mut out = DenseMatrix::zeros(dims[mode], opts.rank);
     let mut history = Vec::new();
 
@@ -317,7 +287,23 @@ fn tune_validated(coo: &CooTensor, mode: usize, opts: &TuneOptions) -> TuneResul
     let mut eval =
         |kind: KernelKind, grid: [usize; NMODES], strip: usize, history: &mut Vec<TuneSample>| {
             let span = opts.exec.recorder.span("tune/candidate");
-            let stats = time_config(kind, coo, mode, grid, strip, &factors, &mut out, opts);
+            // One discarded warmup rep (it absorbs first-touch page faults
+            // in `out`, which otherwise skew min-of-1 comparisons on small
+            // tensors), then best of `reps` on a freshly built kernel;
+            // construction is excluded, as the paper amortizes it over the
+            // CPD iterations. The recorder is stripped: per-candidate spans
+            // come from here, not from every repetition's kernel call.
+            let exec = ExecPolicy {
+                threads: opts.exec.threads,
+                ..ExecPolicy::default()
+            };
+            let cfg = KernelConfig {
+                grid,
+                strip_width: strip,
+                exec,
+            };
+            let kernel = build_kernel(kind, coo, mode, &cfg);
+            let stats = time_reps(1, opts.reps, || kernel.mttkrp(&fs, &mut out));
             if span.active() {
                 span.annotate_str("kernel", kind.as_str());
                 span.annotate_str("grid", &format!("{}x{}x{}", grid[0], grid[1], grid[2]));

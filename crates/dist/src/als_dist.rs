@@ -16,8 +16,7 @@
 
 use crate::msg::{run_world, RankCtx};
 use crate::part3d::Partition3D;
-use tenblock_core::mttkrp::SplattKernel;
-use tenblock_core::MttkrpKernel;
+use tenblock_core::{build_kernel, KernelConfig, KernelKind, MttkrpKernel};
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
 /// Options for [`distributed_als`].
@@ -237,8 +236,11 @@ pub fn distributed_als(
         let mut grams: Vec<DenseMatrix> = factors.iter().map(tenblock_cpd_linalg::gram).collect();
         let mut lambda = vec![1.0; rank];
         let local = part.local(me);
-        let kernels: Vec<Option<SplattKernel>> = (0..NMODES)
-            .map(|m| (local.nnz() > 0).then(|| SplattKernel::new(local, m)))
+        let kernels: Vec<Option<Box<dyn MttkrpKernel>>> = (0..NMODES)
+            .map(|m| {
+                (local.nnz() > 0)
+                    .then(|| build_kernel(KernelKind::Splatt, local, m, &KernelConfig::default()))
+            })
             .collect();
 
         for it in 0..opts.iters {

@@ -19,9 +19,7 @@ use crate::comm::CommParams;
 use crate::part3d::Partition3D;
 use crate::part4d::Partition4D;
 use std::time::Instant;
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
-use tenblock_core::MttkrpKernel;
+use tenblock_core::{build_kernel, KernelConfig, KernelKind, MttkrpKernel};
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
 /// Which kernel each rank runs locally.
@@ -36,6 +34,27 @@ pub enum LocalKernel {
         /// RankB strip width in columns.
         strip: usize,
     },
+}
+
+impl LocalKernel {
+    /// Builds the mode-1 kernel of `local` at factor width `width`: the
+    /// SPLATT preset, or MB+RankB with the grid clamped to the local mode
+    /// lengths and the strip to `width`.
+    pub fn build(self, local: &CooTensor, width: usize) -> Box<dyn MttkrpKernel> {
+        let dims = local.dims();
+        let (kind, cfg) = match self {
+            LocalKernel::Baseline => (KernelKind::Splatt, KernelConfig::default()),
+            LocalKernel::Blocked { grid, strip } => (
+                KernelKind::MbRankB,
+                KernelConfig {
+                    grid: std::array::from_fn(|ax| grid[ax].clamp(1, dims[ax].max(1))),
+                    strip_width: strip.clamp(1, width.max(1)),
+                    ..KernelConfig::default()
+                },
+            ),
+        };
+        build_kernel(kind, local, 0, &cfg)
+    }
 }
 
 /// Configuration of a distributed run.
@@ -108,18 +127,7 @@ fn time_local(local: &CooTensor, kernel: LocalKernel, width: usize, reps: usize)
     let mut out = DenseMatrix::zeros(dims[0], width);
     let fs: [&DenseMatrix; NMODES] = [&a, &b, &c];
 
-    let kernel: Box<dyn MttkrpKernel> = match kernel {
-        LocalKernel::Baseline => Box::new(SplattKernel::new(local, 0)),
-        LocalKernel::Blocked { grid, strip } => {
-            let clamped = std::array::from_fn(|ax| grid[ax].clamp(1, dims[ax].max(1)));
-            Box::new(MbRankBKernel::new(
-                local,
-                0,
-                clamped,
-                strip.clamp(1, width.max(1)),
-            ))
-        }
-    };
+    let kernel = kernel.build(local, width);
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
@@ -304,7 +312,7 @@ mod tests {
             if local.nnz() == 0 {
                 continue;
             }
-            let k = SplattKernel::new(local, 0);
+            let k = LocalKernel::Baseline.build(local, rank);
             let mut out = DenseMatrix::zeros(16, rank);
             k.mttkrp(&fs, &mut out);
             for (s, o) in sum.as_mut_slice().iter_mut().zip(out.as_slice()) {
@@ -347,7 +355,7 @@ mod tests {
                 if local.nnz() == 0 {
                     continue;
                 }
-                let k = SplattKernel::new(local, 0);
+                let k = LocalKernel::Baseline.build(local, rank);
                 let mut out = DenseMatrix::zeros(12, cols.len());
                 k.mttkrp(&sfs, &mut out);
                 for row in 0..12 {

@@ -17,9 +17,6 @@
 use crate::exec::LocalKernel;
 use crate::msg::{run_world, RankCtx};
 use crate::part3d::Partition3D;
-use tenblock_core::block::MbRankBKernel;
-use tenblock_core::mttkrp::SplattKernel;
-use tenblock_core::MttkrpKernel;
 use tenblock_tensor::{CooTensor, DenseMatrix, NMODES};
 
 /// Result of one executed distributed MTTKRP.
@@ -119,19 +116,9 @@ pub fn execute_3d(
         let local_t = part.local(me);
         let mut out = DenseMatrix::zeros(dims[0], rank);
         if local_t.nnz() > 0 {
-            let kernel: Box<dyn MttkrpKernel> = match local {
-                LocalKernel::Baseline => Box::new(SplattKernel::new(local_t, 0)),
-                LocalKernel::Blocked { grid: g, strip } => {
-                    let clamped = std::array::from_fn(|ax| g[ax].clamp(1, dims[ax].max(1)));
-                    Box::new(MbRankBKernel::new(
-                        local_t,
-                        0,
-                        clamped,
-                        strip.clamp(1, rank),
-                    ))
-                }
-            };
-            kernel.mttkrp(&[&amat, &bmat, &cmat], &mut out);
+            local
+                .build(local_t, rank)
+                .mttkrp(&[&amat, &bmat, &cmat], &mut out);
         }
 
         // --- step 3: reduce partial rows within the i-layer -----------------
@@ -251,14 +238,9 @@ pub fn execute_4d(
         let local_t = part.local(m3);
         let mut out = DenseMatrix::zeros(dims[0], w);
         if local_t.nnz() > 0 {
-            let kernel: Box<dyn MttkrpKernel> = match local {
-                LocalKernel::Baseline => Box::new(SplattKernel::new(local_t, 0)),
-                LocalKernel::Blocked { grid: gg, strip } => {
-                    let clamped = std::array::from_fn(|ax| gg[ax].clamp(1, dims[ax].max(1)));
-                    Box::new(MbRankBKernel::new(local_t, 0, clamped, strip.clamp(1, w)))
-                }
-            };
-            kernel.mttkrp(&[&amat, &bmat, &cmat], &mut out);
+            local
+                .build(local_t, w)
+                .mttkrp(&[&amat, &bmat, &cmat], &mut out);
         }
 
         // reduce partial rows within this replica's i-layer

@@ -98,11 +98,6 @@ impl RankCtx {
         }
         out
     }
-
-    /// Bytes sent by ALL ranks so far (shared counter).
-    pub fn world_bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
 }
 
 /// Runs `body` on `p` rank-threads and returns their results in rank

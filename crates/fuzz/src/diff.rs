@@ -2,8 +2,10 @@
 //! MTTKRP kernel in the registry (all seven kinds), the BCOO storage
 //! round-trip, the tuner, and (sampled) the distributed executors,
 //! cross-checked against the dense reference and the `tenblock-check`
-//! oracles. Any panic, typed-error mismatch, or numeric disagreement
-//! becomes a [`Finding`] with a minimized `.tns` repro.
+//! oracles, and the blocked-engine presets that share a grid are checked
+//! against each other bit for bit. Any panic, typed-error mismatch, or
+//! numeric disagreement becomes a [`Finding`] with a minimized `.tns`
+//! repro.
 
 use crate::gen::{render_tns, FuzzCase};
 use crate::rng::FuzzRng;
@@ -131,7 +133,70 @@ pub(crate) fn check_kernels(case: &FuzzCase, rng: &mut FuzzRng) -> Vec<Finding> 
             });
         }
     }
+    if let Some(detail) = preset_bits_disagree(coo, mode, rank, &cfg) {
+        let small = minimize_entries(coo, &|cand| {
+            preset_bits_disagree(cand, mode, rank, &cfg).is_some()
+        });
+        findings.push(Finding {
+            seed: 0,
+            case: format!("{}/preset-bits", case.label),
+            detail,
+            repro: Some(repro_text(&small, mode, rank, &cfg)),
+            repro_bin: None,
+        });
+    }
     findings
+}
+
+/// Only the grid decides the blocked engine's output bits, so presets
+/// that share a grid must agree bit for bit: MB, MB+RankB and BCOO at
+/// `cfg.grid`, and SPLATT and RankB against MB+RankB at 1×1×1. Returns
+/// the first disagreement. Panics and rejections are the dense check's
+/// business, so they count as agreement here.
+fn preset_bits_disagree(
+    coo: &CooTensor,
+    mode: usize,
+    rank: usize,
+    cfg: &KernelConfig,
+) -> Option<String> {
+    let factors = factors_for(coo, rank, 0xb175);
+    let fs: [&DenseMatrix; NMODES] = [&factors[0], &factors[1], &factors[2]];
+    let bits = |kind: KernelKind, cfg: &KernelConfig| {
+        catch(|| {
+            let k = try_build_kernel(kind, coo, mode, cfg).ok()?;
+            let mut out = DenseMatrix::zeros(coo.dims()[mode], rank);
+            k.mttkrp(&fs, &mut out);
+            Some(
+                out.as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<u64>>(),
+            )
+        })
+        .ok()
+        .flatten()
+    };
+    let flat = KernelConfig {
+        grid: [1, 1, 1],
+        ..cfg.clone()
+    };
+    let pairs = [
+        (KernelKind::MbRankB, cfg, KernelKind::Mb),
+        (KernelKind::Bcoo, cfg, KernelKind::Mb),
+        (KernelKind::Splatt, &flat, KernelKind::MbRankB),
+        (KernelKind::RankB, &flat, KernelKind::MbRankB),
+    ];
+    for (kind, cfg, against) in pairs {
+        if let (Some(a), Some(b)) = (bits(kind, cfg), bits(against, cfg)) {
+            if a != b {
+                return Some(format!(
+                    "{kind:?} and {against:?} at grid {:?} strip {} differ bit for bit",
+                    cfg.grid, cfg.strip_width
+                ));
+            }
+        }
+    }
+    None
 }
 
 /// The BCOO layout must round-trip losslessly (COO → BCOO → COO) for the

@@ -140,7 +140,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError::at(pos, "trailing characters after value"));
@@ -206,12 +206,23 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive descent, so the limit bounds its stack use: one deeply
+/// nested line must come back as a [`ParseError`], not overflow the
+/// connection thread's stack. No protocol message nests past 4.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(ParseError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(ParseError::at(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -303,7 +314,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // [
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -312,7 +323,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -327,7 +338,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // {
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -346,7 +357,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             return Err(ParseError::at(*pos, "expected ':'"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -398,6 +409,24 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Objects count toward the same limit.
+        let obj = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&obj).is_err());
+        // Far past the limit, and unterminated: still a typed error.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -53,15 +53,19 @@ impl LatencyHistogram {
             .unwrap_or(LATENCY_BOUNDS_US.len());
         self.counts[bucket].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(raw.min(top), Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
+        // Release: a snapshot that sees this total also sees the bucket.
+        self.total.fetch_add(1, Ordering::Release);
     }
 
     /// Plain-data view.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        // Total first: every observation it counts has already bumped its
+        // bucket, so the buckets read after it sum to at least the total.
+        let total = self.total.load(Ordering::Acquire);
         HistogramSnapshot {
             counts: self.counts.each_ref().map(|c| c.load(Ordering::Relaxed)),
             sum_us: self.sum_us.load(Ordering::Relaxed),
-            total: self.total.load(Ordering::Relaxed),
+            total,
         }
     }
 }

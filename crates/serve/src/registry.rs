@@ -54,7 +54,7 @@ use tenblock_core::obs::StreamStats;
 use tenblock_core::tune::grid_for_tile_budget;
 use tenblock_faults::{is_transient, Backoff, FaultPolicy};
 use tenblock_tensor::gen::ALL_DATASETS;
-use tenblock_tensor::{io, io_bin, CooTensor, SplattTensor, TensorStats, TileStore, NMODES};
+use tenblock_tensor::{io, io_bin, CooTensor, TensorStats, TileStore};
 
 /// Per-tile byte budget used when spilling (the tile grid is chosen so a
 /// reload streams in modest chunks rather than one giant payload).
@@ -71,27 +71,17 @@ pub struct TensorEntry {
     pub stats: TensorStats,
     /// Shape fingerprint, cached from `stats`.
     pub fingerprint: u64,
-    /// Per-mode SPLATT builds, shared by `stats`-style queries and the
-    /// baseline kernels. Built eagerly at registration: the cost is paid
-    /// once, off the job workers' critical path.
-    pub splatt: [SplattTensor; NMODES],
 }
 
 impl TensorEntry {
     fn build(name: &str, coo: CooTensor) -> TensorEntry {
         let stats = TensorStats::of(&coo);
         let fingerprint = stats.fingerprint();
-        let splatt = [
-            SplattTensor::for_mode(&coo, 0),
-            SplattTensor::for_mode(&coo, 1),
-            SplattTensor::for_mode(&coo, 2),
-        ];
         TensorEntry {
             name: name.to_string(),
             coo,
             stats,
             fingerprint,
-            splatt,
         }
     }
 }
@@ -615,7 +605,7 @@ mod tests {
         let e = reg.register("a", t.clone()).unwrap();
         assert_eq!(e.stats.nnz, e.coo.nnz());
         assert_eq!(e.fingerprint, e.stats.fingerprint());
-        assert_eq!(e.splatt[1].dims(), [20, 30, 10]);
+        assert_eq!(e.coo.dims(), [20, 30, 10]);
 
         let again = reg.register("a", t);
         assert_eq!(again.unwrap_err(), RegistryError::Exists("a".into()));

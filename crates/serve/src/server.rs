@@ -199,6 +199,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_bad_request_not_a_crash() {
+        let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+
+        // 200 KB of `[` once overflowed the connection thread's stack and
+        // aborted the whole server.
+        let bad = roundtrip(&mut stream, &mut reader, &"[".repeat(200_000));
+        assert_eq!(bad.get_str("code"), Some("bad-request"), "{bad:?}");
+
+        // The same server still answers a valid request.
+        let list = roundtrip(&mut stream, &mut reader, r#"{"cmd":"list"}"#);
+        assert_eq!(list.get_bool("ok"), Some(true), "{list:?}");
+
+        server.shutdown();
+    }
+
+    #[test]
     fn job_latency_histograms_populate_over_tcp() {
         let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = server.addr();

@@ -1,13 +1,11 @@
 //! Quickstart: build a sparse tensor, run the baseline SPLATT MTTKRP and
-//! the blocked MTTKRP, and verify they agree while the blocked one reads
-//! less memory.
+//! the blocked MTTKRP — two presets of one engine — and verify they agree
+//! while the blocked one reads less memory.
 //!
 //! Run: `cargo run --release --example quickstart`
 
 use std::time::Instant;
-use tenblock::core::block::MbRankBKernel;
-use tenblock::core::mttkrp::SplattKernel;
-use tenblock::core::MttkrpKernel;
+use tenblock::core::{build_kernel, KernelConfig, KernelKind};
 use tenblock::tensor::gen::{clustered_tensor, ClusteredConfig};
 use tenblock::tensor::{DenseMatrix, TensorStats};
 
@@ -27,15 +25,21 @@ fn main() {
         .collect();
     let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
 
-    // 3. The baseline SPLATT kernel (Algorithm 1 of the paper) ...
-    let baseline = SplattKernel::new(&x, 0);
+    // 3. The baseline SPLATT preset (Algorithm 1 of the paper) ...
+    let cfg = KernelConfig {
+        grid: [2, 4, 2],
+        strip_width: rank,
+        ..KernelConfig::default()
+    };
+    let baseline = build_kernel(KernelKind::Splatt, &x, 0, &cfg);
     let mut out_base = DenseMatrix::zeros(x.dims()[0], rank);
     let t0 = Instant::now();
     baseline.mttkrp(&fs, &mut out_base);
     let base_secs = t0.elapsed().as_secs_f64();
 
-    // 4. ... versus multi-dimensional + rank blocking (Section V).
-    let blocked = MbRankBKernel::new(&x, 0, [2, 4, 2], rank);
+    // 4. ... versus multi-dimensional + rank blocking (Section V) at
+    //    the configured grid and strip width.
+    let blocked = build_kernel(KernelKind::MbRankB, &x, 0, &cfg);
     let mut out_blocked = DenseMatrix::zeros(x.dims()[0], rank);
     let t0 = Instant::now();
     blocked.mttkrp(&fs, &mut out_blocked);

@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use tenblock::core::mttkrp::dense_mttkrp;
-use tenblock::core::mttkrp::SplattKernel;
-use tenblock::core::MttkrpKernel;
+use tenblock::core::{build_kernel, KernelConfig, KernelKind};
 use tenblock::dist::{Partition3D, Partition4D};
 use tenblock::tensor::gen::uniform_tensor;
 use tenblock::tensor::DenseMatrix;
@@ -35,7 +34,7 @@ proptest! {
         for rk in 0..part.n_ranks() {
             let local = part.local(rk);
             if local.nnz() == 0 { continue; }
-            let k = SplattKernel::new(local, 0);
+            let k = build_kernel(KernelKind::Splatt, local, 0, &KernelConfig::default());
             let mut out = DenseMatrix::zeros(14, rank);
             k.mttkrp(&fs, &mut out);
             for (a, b) in sum.as_mut_slice().iter_mut().zip(out.as_slice()) {

@@ -75,8 +75,7 @@ fn traced_mttkrp_bytes_match_section_iv_model() {
 
 #[test]
 fn exec_policy_is_the_single_threading_entry_point() {
-    use tenblock::core::mttkrp::SplattKernel;
-    use tenblock::core::{tune, MttkrpKernel, TuneOptions};
+    use tenblock::core::{tune, TuneOptions};
 
     let t = Dataset::Poisson1.generate_with([30, 25, 20], 2_000, 3);
     let rank = 8;
@@ -89,8 +88,9 @@ fn exec_policy_is_the_single_threading_entry_point() {
 
     // ExecPolicy::auto() selects the parallel path and the result matches
     // the serial kernel.
-    let serial = SplattKernel::new(&t, 0);
-    let auto = SplattKernel::new(&t, 0).with_exec(ExecPolicy::auto());
+    let serial = build_kernel(KernelKind::Splatt, &t, 0, &KernelConfig::default());
+    let auto_cfg = KernelConfig::default().with_exec(ExecPolicy::auto());
+    let auto = build_kernel(KernelKind::Splatt, &t, 0, &auto_cfg);
     let mut a = DenseMatrix::zeros(t.dims()[0], rank);
     let mut b = DenseMatrix::zeros(t.dims()[0], rank);
     serial.mttkrp(&fs, &mut a);

@@ -8,10 +8,8 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tenblock::core::block::MbKernel;
-use tenblock::core::mttkrp::BcooKernel;
 use tenblock::core::tune::grid_for_tile_budget;
-use tenblock::core::{KernelKind, MttkrpKernel, StreamingMttkrp};
+use tenblock::core::{build_kernel, KernelConfig, KernelKind, StreamingMttkrp};
 use tenblock::cpd::{CpAls, CpAlsOptions, CpAlsStream};
 use tenblock::tensor::coo::perm_for_mode;
 use tenblock::tensor::gen::{clustered_tensor, ClusteredConfig};
@@ -107,7 +105,14 @@ fn assert_streamed_matches_in_memory(x: &CooTensor, budget: u64) -> usize {
         let perm = perm_for_mode(mode);
         let grid_kernel = [grid[perm[0]], grid[perm[1]], grid[perm[2]]];
         for strip in [0usize, 16] {
-            let k = BcooKernel::new(x, mode, grid_kernel, strip);
+            // The stream reads strip 0 as whole-rank; the registry reads
+            // it as 16, so ask the registry for the whole rank directly.
+            let cfg = KernelConfig {
+                grid: grid_kernel,
+                strip_width: if strip == 0 { rank } else { strip },
+                ..KernelConfig::default()
+            };
+            let k = build_kernel(KernelKind::Bcoo, x, mode, &cfg);
             let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
             k.mttkrp(&fs, &mut expect);
             let mut got = DenseMatrix::zeros(x.dims()[mode], rank);
@@ -121,7 +126,11 @@ fn assert_streamed_matches_in_memory(x: &CooTensor, budget: u64) -> usize {
                 );
             }
         }
-        let k = MbKernel::new(x, mode, grid_kernel);
+        let cfg = KernelConfig {
+            grid: grid_kernel,
+            ..KernelConfig::default()
+        };
+        let k = build_kernel(KernelKind::Mb, x, mode, &cfg);
         let mut expect = DenseMatrix::zeros(x.dims()[mode], rank);
         k.mttkrp(&fs, &mut expect);
         let mut got = DenseMatrix::zeros(x.dims()[mode], rank);

@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use tenblock::analysis::{tune_by_model, ModelTuneOptions};
-use tenblock::core::block::MbRankBKernel;
-use tenblock::core::mttkrp::SplattKernel;
-use tenblock::core::{tune, MttkrpKernel, TuneOptions};
+use tenblock::core::{build_kernel, tune, KernelConfig, KernelKind, TuneOptions};
 use tenblock::tensor::coo::perm_for_mode;
 use tenblock::tensor::gen::{clustered_tensor, ClusteredConfig};
 use tenblock::tensor::DenseMatrix;
@@ -30,8 +28,13 @@ fn check_config_valid_and_correct(
         .map(|&d| DenseMatrix::from_fn(d, rank, |r, c| ((r * 3 + c) % 7) as f64 * 0.2))
         .collect();
     let fs: [&DenseMatrix; 3] = [&factors[0], &factors[1], &factors[2]];
-    let base = SplattKernel::new(x, mode);
-    let tuned = MbRankBKernel::new(x, mode, grid, strip);
+    let base = build_kernel(KernelKind::Splatt, x, mode, &KernelConfig::default());
+    let cfg = KernelConfig {
+        grid,
+        strip_width: strip,
+        ..KernelConfig::default()
+    };
+    let tuned = build_kernel(KernelKind::MbRankB, x, mode, &cfg);
     let mut a = DenseMatrix::zeros(dims[mode], rank);
     let mut b = DenseMatrix::zeros(dims[mode], rank);
     base.mttkrp(&fs, &mut a);
